@@ -44,7 +44,7 @@ use ute_merge::MergeOptions;
 use ute_pipeline::{merge_files_jobs, slogmerge_jobs};
 use ute_rawtrace::file::{RawTraceFile, HEADER_LEN};
 use ute_slog::builder::BuildOptions;
-use ute_slog::file::SlogFile;
+use ute_slog::file::SlogReader;
 use ute_stats::predefined::predefined_tables;
 use ute_stats::{parse_program, run_tables};
 use ute_view::model::{build_view, ViewConfig, ViewKind};
@@ -665,7 +665,7 @@ pub fn cmd_stats(args: &Args) -> Result<String> {
 /// standard-profile interval file (`--ivl`, e.g. a `--self-trace`
 /// output) by building an in-memory SLOG from it first.
 pub fn cmd_preview(args: &Args) -> Result<String> {
-    let slog = match args.get("ivl") {
+    let preview = match args.get("ivl") {
         Some(ivl) => {
             let bytes = std::fs::read(ivl)?;
             // A zero-length file is a trace that never got written;
@@ -681,34 +681,38 @@ pub fn cmd_preview(args: &Args) -> Result<String> {
             if intervals.is_empty() {
                 return Ok(format!("empty trace: {ivl} contains no intervals\n"));
             }
-            ute_slog::builder::SlogBuilder::new(&profile, BuildOptions::default()).build(
-                &intervals,
-                &reader.threads,
-                &reader.markers,
-            )?
+            ute_slog::builder::SlogBuilder::new(&profile, BuildOptions::default())
+                .build(&intervals, &reader.threads, &reader.markers)?
+                .preview
         }
-        None => SlogFile::read_from(Path::new(args.require("slog")?))?,
+        // The preview sits ahead of the frame index: decode no frame.
+        None => with_slog(Path::new(args.require("slog")?), |r| Ok(r.preview))?,
     };
-    let mut msg = ute_view::preview::render_ascii(&slog.preview, 8);
-    let ranges = ute_view::preview::interesting_ranges(&slog.preview, 0.25);
+    let mut msg = ute_view::preview::render_ascii(&preview, 8);
+    let ranges = ute_view::preview::interesting_ranges(&preview, 0.25);
     msg.push_str("interesting ranges:");
     for (a, b) in ranges {
         msg.push_str(&format!(" [{a:.3}s..{b:.3}s]"));
     }
     msg.push('\n');
     if let Some(svg_path) = args.get("svg") {
-        std::fs::write(
-            svg_path,
-            ute_view::preview::render_svg(&slog.preview, 600, 120),
-        )?;
+        std::fs::write(svg_path, ute_view::preview::render_svg(&preview, 600, 120))?;
         msg.push_str(&format!("wrote {svg_path}\n"));
     }
     Ok(msg)
 }
 
+/// Maps a SLOG file and hands `f` its opened frame index; errors from
+/// opening it or from decoding frames inside `f` name the file.
+fn with_slog<T>(path: &Path, f: impl FnOnce(SlogReader<'_>) -> Result<T>) -> Result<T> {
+    use ute_core::error::PathContext;
+    let bytes = ute_rawtrace::map_file(path).in_file(path)?;
+    SlogReader::open(&bytes).and_then(f).in_file(path)
+}
+
 /// `ute view`: render a time-space diagram of a SLOG file.
 pub fn cmd_view(args: &Args) -> Result<String> {
-    let slog = SlogFile::read_from(Path::new(args.require("slog")?))?;
+    let path = Path::new(args.require("slog")?);
     let kind = match args.get("kind").unwrap_or("thread") {
         "thread" => ViewKind::ThreadActivity,
         "cpu" => ViewKind::ProcessorActivity,
@@ -736,24 +740,40 @@ pub fn cmd_view(args: &Args) -> Result<String> {
             Some(((a * 1e9) as u64, (b * 1e9) as u64))
         }
     };
+    let cpus_per_node = match args.get("cpus") {
+        None => None,
+        Some(_) => match args.num("cpus", 0u16)? {
+            0 => return Err(UteError::Invalid("--cpus: must be at least 1".into())),
+            c => Some(c),
+        },
+    };
     let cfg = ViewConfig {
         kind,
         window,
         connected: args.has("connected"),
         hide_running: args.has("hide-running"),
-        cpus_per_node: args
-            .get("cpus")
-            .map(|c| c.parse().unwrap_or(0))
-            .filter(|&c| c > 0),
+        cpus_per_node,
         ..ViewConfig::default()
     };
-    let view = match args.get("frame-at") {
+    let frame_at = match args.get("frame-at") {
+        None => None,
         Some(t) => {
             let secs: f64 = t
                 .parse()
                 .map_err(|_| UteError::Invalid("--frame-at wants seconds".into()))?;
-            ute_view::model::frame_view(&slog, (secs * 1e9) as u64, &cfg)?
+            Some((secs * 1e9) as u64)
         }
+    };
+    // Decode only the frames the view shows: the one holding the
+    // instant (the window [t, t+1) overlaps exactly that frame), or
+    // those overlapping the window; no window decodes them all.
+    let load_window = match frame_at {
+        Some(t) => Some((t, t.saturating_add(1))),
+        None => cfg.window,
+    };
+    let slog = with_slog(path, |r| r.load(load_window))?;
+    let view = match frame_at {
+        Some(t) => ute_view::model::frame_view(&slog, t, &cfg)?,
         None => build_view(&slog, &cfg)?,
     };
     let mut msg = ute_view::ascii::render(&view, args.num("width", 100usize)?);
@@ -1035,6 +1055,8 @@ const BASELINE_COUNTERS: &[&str] = &[
     "analyze/frames_skipped",
     "analyze/findings",
     "analyze/msgs_matched",
+    "slog/frames_decoded",
+    "slog/frames_skipped",
     "store/journal_records",
     "store/journal_replayed",
     "store/stages_run",
@@ -1700,6 +1722,24 @@ mod tests {
         // Two valued keys back to back.
         let e = Args::parse(&argv(&["--in", "--out", "x"])).unwrap_err();
         assert!(e.to_string().contains("missing value for --in"), "{e}");
+    }
+
+    #[test]
+    fn view_rejects_bad_cpus_values() {
+        // Rejected before the SLOG is opened, like the other numeric flags.
+        let view = |cpus: &str| {
+            cmd_view(&args(
+                &[("slog", "no-such.slog"), ("kind", "cpu"), ("cpus", cpus)],
+                &[],
+            ))
+            .unwrap_err()
+            .to_string()
+        };
+        assert!(view("abc").contains("--cpus: bad value `abc`"));
+        assert!(view("-1").contains("--cpus: bad value `-1`"));
+        assert!(view("0").contains("--cpus: must be at least 1"));
+        // A good value gets past parsing to the missing file.
+        assert!(view("4").contains("no-such.slog"));
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub struct SlogFile {
     pub markers: Vec<(u32, String)>,
     /// Whole-run preview data.
     pub preview: Preview,
-    /// Time-partitioned frames, in time order.
+    /// Time-partitioned frames, in time order. After
+    /// [`SlogReader::load`] with a window this is only the contiguous
+    /// run of frames that overlap the window, not the whole file.
     pub frames: Vec<SlogFrame>,
 }
 
@@ -117,8 +119,62 @@ impl SlogFile {
         w.into_bytes()
     }
 
-    /// Parses a SLOG file.
+    /// Parses a SLOG file, decoding every frame.
     pub fn from_bytes(data: &[u8]) -> Result<SlogFile> {
+        SlogReader::open(data)?.load(None)
+    }
+
+    /// Reads from disk.
+    pub fn read_from(path: &std::path::Path) -> Result<SlogFile> {
+        use ute_core::error::PathContext;
+        let data = std::fs::read(path).in_file(path)?;
+        SlogFile::from_bytes(&data).in_file(path)
+    }
+}
+
+/// One frame-index entry: the frame's time span, its record count, and
+/// where its body sits in the file.
+#[derive(Debug, Clone, Copy)]
+struct IndexEntry {
+    t_start: u64,
+    t_end: u64,
+    nrecords: u32,
+    /// Byte offset of the frame body from the end of the index.
+    offset: u64,
+    /// Body length in bytes.
+    size: u64,
+}
+
+/// A SLOG file opened for frame-indexed reading (§4: the time it takes
+/// to display a frame is independent of the size of the file).
+///
+/// [`open`](Self::open) decodes the header, thread table, markers,
+/// preview and the whole frame index, and validates the index; it
+/// decodes no frame. [`load`](Self::load) then decodes only the frames a
+/// window needs. Frame bodies are checked only when loaded: a view
+/// validates what it reads, `ute check` validates the whole file.
+#[derive(Debug)]
+pub struct SlogReader<'a> {
+    data: &'a [u8],
+    /// Byte offset of the first frame body (the end of the index).
+    body_base: u64,
+    /// The timelines: one per thread, in thread-table order.
+    pub threads: ThreadTable,
+    /// Unified marker id → string pairs.
+    pub markers: Vec<(u32, String)>,
+    /// Whole-run preview data.
+    pub preview: Preview,
+    index: Vec<IndexEntry>,
+}
+
+impl<'a> SlogReader<'a> {
+    /// Decodes everything before the frame bodies and validates the
+    /// frame index: byte ranges run contiguously from the first body
+    /// byte without overlap and end inside `data`, and every frame
+    /// starts no earlier than it ends and no earlier than its
+    /// predecessor ends. A torn file therefore fails here, before any
+    /// frame is decoded.
+    pub fn open(data: &'a [u8]) -> Result<SlogReader<'a>> {
         let mut r = ByteReader::new(data);
         if r.get_bytes(8)? != MAGIC {
             return Err(UteError::corrupt("slog file: bad magic"));
@@ -141,62 +197,98 @@ impl SlogFile {
         let preview = Preview::decode(&mut r)?;
         let nframes = r.get_u32()?;
         let cap = ute_core::codec::clamped_capacity(nframes as usize, 36, r.remaining());
-        let mut index = Vec::with_capacity(cap);
-        for _ in 0..nframes {
+        let mut index: Vec<IndexEntry> = Vec::with_capacity(cap);
+        let mut next = 0u64;
+        for i in 0..nframes {
             let t_start = r.get_u64()?;
             let t_end = r.get_u64()?;
-            let n = r.get_u32()?;
+            let nrecords = r.get_u32()?;
             let offset = r.get_u64()?;
             let size = r.get_u64()?;
-            index.push((t_start, t_end, n, offset, size));
-        }
-        let body_base = r.pos();
-        let mut frames = Vec::with_capacity(cap);
-        for (t_start, t_end, n, offset, size) in index {
-            let mut fr = ByteReader::new(data);
-            let at = body_base
-                .checked_add(offset)
-                .ok_or_else(|| UteError::corrupt("slog frame offset overflows"))?;
-            let past = at
+            if offset != next {
+                return Err(UteError::corrupt(format!(
+                    "slog frame index: frame {i} body at offset {offset}, expected {next}"
+                )));
+            }
+            let prev_end = index.last().map_or(0, |p| p.t_end);
+            if t_start > t_end || t_start < prev_end {
+                return Err(UteError::corrupt(format!(
+                    "slog frame index: frame {i} [{t_start}, {t_end}) is out of time order"
+                )));
+            }
+            next = offset
                 .checked_add(size)
                 .ok_or_else(|| UteError::corrupt("slog frame size overflows"))?;
-            fr.seek(at)?;
-            let mut records = Vec::with_capacity(ute_core::codec::clamped_capacity(
-                n as usize,
-                2,
-                fr.remaining(),
-            ));
-            for _ in 0..n {
-                records.push(SlogRecord::decode(&mut fr)?);
-            }
-            if fr.pos() != past {
-                return Err(UteError::corrupt("slog frame size mismatch"));
-            }
-            frames.push(SlogFrame {
+            index.push(IndexEntry {
                 t_start,
                 t_end,
-                records,
+                nrecords,
+                offset,
+                size,
             });
         }
-        Ok(SlogFile {
+        if next > r.remaining() as u64 {
+            return Err(UteError::corrupt(format!(
+                "slog frame index: frames end {} bytes past the end of the file",
+                next - r.remaining() as u64
+            )));
+        }
+        Ok(SlogReader {
+            data,
+            body_base: r.pos(),
             threads,
             markers,
             preview,
-            frames,
+            index,
         })
     }
 
-    /// Writes to disk.
-    pub fn write_to(&self, path: &std::path::Path) -> Result<()> {
-        use ute_core::error::PathContext;
-        std::fs::write(path, self.to_bytes()).in_file(path)
-    }
-
-    /// Reads from disk.
-    pub fn read_from(path: &std::path::Path) -> Result<SlogFile> {
-        use ute_core::error::PathContext;
-        let data = std::fs::read(path).in_file(path)?;
-        SlogFile::from_bytes(&data).in_file(path)
+    /// Decodes the frames that overlap `window` — those with
+    /// `t_start < end && t_end > start`, the overlap test the view layer
+    /// applies — or every frame for `None`. Because the index is time
+    /// ordered, those frames are one contiguous run, found by binary
+    /// search; the returned [`SlogFile::frames`] is that run. Each frame
+    /// goes through the same record decoder and size check as a full
+    /// read.
+    pub fn load(self, window: Option<(u64, u64)>) -> Result<SlogFile> {
+        let wanted = match window {
+            None => 0..self.index.len(),
+            Some((start, end)) => {
+                let lo = self.index.partition_point(|f| f.t_end <= start);
+                let hi = self.index.partition_point(|f| f.t_start < end);
+                lo..hi.max(lo)
+            }
+        };
+        let mut frames = Vec::with_capacity(wanted.len());
+        for e in &self.index[wanted] {
+            let at = self.body_base + e.offset;
+            let mut fr = ByteReader::new(self.data);
+            fr.seek(at)?;
+            let mut records = Vec::with_capacity(ute_core::codec::clamped_capacity(
+                e.nrecords as usize,
+                2,
+                fr.remaining(),
+            ));
+            for _ in 0..e.nrecords {
+                records.push(SlogRecord::decode(&mut fr)?);
+            }
+            if fr.pos() != at + e.size {
+                return Err(UteError::corrupt("slog frame size mismatch"));
+            }
+            frames.push(SlogFrame {
+                t_start: e.t_start,
+                t_end: e.t_end,
+                records,
+            });
+        }
+        ute_obs::counter("slog/frames_decoded").add(frames.len() as u64);
+        ute_obs::counter("slog/frames_skipped").add((self.index.len() - frames.len()) as u64);
+        Ok(SlogFile {
+            threads: self.threads,
+            markers: self.markers,
+            preview: self.preview,
+            frames,
+        })
     }
 }
 
@@ -303,5 +395,86 @@ mod tests {
     fn truncation_rejected() {
         let bytes = sample().to_bytes();
         assert!(SlogFile::from_bytes(&bytes[..bytes.len() - 4]).is_err());
+    }
+
+    /// Byte position of field `at` (0 t_start, 8 t_end, 16 nrecords,
+    /// 20 offset, 28 size) of frame `i`'s index entry in `sample()`.
+    fn index_field(i: usize, at: usize) -> usize {
+        let header = SlogFile {
+            frames: vec![],
+            ..sample()
+        }
+        .to_bytes()
+        .len();
+        header + 36 * i + at
+    }
+
+    fn patched(i: usize, at: usize, value: u64) -> Vec<u8> {
+        let mut bytes = sample().to_bytes();
+        let pos = index_field(i, at);
+        bytes[pos..pos + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    fn field(bytes: &[u8], i: usize, at: usize) -> u64 {
+        let pos = index_field(i, at);
+        u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap())
+    }
+
+    fn open_error(bytes: &[u8]) -> String {
+        SlogReader::open(bytes).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn open_rejects_byte_ranges_not_contiguous_from_zero() {
+        // Frame 0 must start at the first body byte.
+        assert!(open_error(&patched(0, 20, 1)).contains("frame 0 body"));
+        // A gap after frame 0, and frame 1 overlapping frame 0.
+        let size0 = field(&sample().to_bytes(), 0, 28);
+        assert!(open_error(&patched(1, 20, size0 + 1)).contains("frame 1 body"));
+        assert!(open_error(&patched(1, 20, 0)).contains("frame 1 body"));
+    }
+
+    #[test]
+    fn open_rejects_frames_out_of_time_order() {
+        // Frame 1 starting before frame 0 ends would make frame_at's
+        // binary search pick the wrong frame.
+        assert!(open_error(&patched(1, 0, 50)).contains("out of time order"));
+        // A frame ending before it starts.
+        assert!(open_error(&patched(2, 8, 150)).contains("out of time order"));
+    }
+
+    #[test]
+    fn open_rejects_frames_past_end_of_file() {
+        // The empty last frame claims 5 body bytes the file lacks.
+        assert!(open_error(&patched(2, 28, 5)).contains("past the end"));
+        // A torn tail fails at open, before any frame is decoded.
+        let bytes = sample().to_bytes();
+        assert!(open_error(&bytes[..bytes.len() - 1]).contains("past the end"));
+    }
+
+    #[test]
+    fn load_decodes_the_overlapping_run_of_frames() {
+        let f = sample();
+        let bytes = f.to_bytes();
+        let starts = |w| -> Vec<u64> {
+            let loaded = SlogReader::open(&bytes).unwrap().load(w).unwrap();
+            loaded.frames.iter().map(|fr| fr.t_start).collect()
+        };
+        assert_eq!(starts(None), vec![0, 100, 200]);
+        assert_eq!(starts(Some((0, 100))), vec![0]);
+        assert_eq!(starts(Some((99, 101))), vec![0, 100]);
+        assert_eq!(starts(Some((150, 151))), vec![100]);
+        assert_eq!(starts(Some((100, 300))), vec![100, 200]);
+        assert_eq!(starts(Some((300, 400))), Vec::<u64>::new());
+        assert_eq!(starts(Some((150, 150))), vec![100]);
+        assert_eq!(starts(Some((150, 50))), Vec::<u64>::new());
+        // Every loaded frame equals its fully decoded counterpart.
+        let w = SlogReader::open(&bytes)
+            .unwrap()
+            .load(Some((120, 250)))
+            .unwrap();
+        assert_eq!(w.frames, f.frames[1..].to_vec());
+        assert_eq!(w.preview, f.preview);
     }
 }

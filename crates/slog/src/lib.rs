@@ -7,7 +7,9 @@
 //! 1. **Rapid access to a time interval far into the run** — the run's
 //!    time is divided into frames and a *frame index based on time* lets
 //!    a viewer binary-search straight to the frame containing any chosen
-//!    instant ([`file::SlogFile::frame_at`]).
+//!    instant ([`file::SlogFile::frame_at`]). A reader opens the index
+//!    without touching frame bodies and decodes only the frames a view
+//!    shows ([`file::SlogReader`]).
 //! 2. **Accurate portrayal using data logged outside the window** —
 //!    states that span frame boundaries and message arrows whose send
 //!    happened long before the receive are duplicated into every frame
@@ -25,6 +27,6 @@ pub mod preview;
 pub mod record;
 
 pub use builder::{BuildOptions, SlogBuilder};
-pub use file::{SlogFile, SlogFrame};
+pub use file::{SlogFile, SlogFrame, SlogReader};
 pub use preview::Preview;
 pub use record::{SlogArrow, SlogRecord, SlogState};

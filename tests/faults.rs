@@ -262,7 +262,8 @@ fn buffer_level_faults_produce_wellformed_survivors() {
 /// truncation points over a real per-node interval file and a real SLOG
 /// file: salvage ingestion must degrade the damaged node gracefully —
 /// identically at every worker count — and the SLOG decoder must reject
-/// the torn file with an error, never a panic.
+/// the torn file with an error, never a panic, already when opening its
+/// frame index.
 #[test]
 fn mid_write_truncation_of_ivl_and_slog_never_panics_ingestion() {
     let (profile, result) = baseline();
@@ -295,7 +296,9 @@ fn mid_write_truncation_of_ivl_and_slog_never_panics_ingestion() {
         );
     }
 
-    // A torn SLOG file at every tenth: a clean decode error each time.
+    // A torn SLOG file at every tenth: a clean decode error each time,
+    // already at open — before any frame is decoded — since the frame
+    // index then claims bytes past the end of the file.
     let views: Vec<&[u8]> = full.iter().map(|v| v.as_slice()).collect();
     let (slog, _stats) = ute::pipeline::slogmerge_jobs(
         &views,
@@ -312,6 +315,11 @@ fn mid_write_truncation_of_ivl_and_slog_never_panics_ingestion() {
         assert!(
             ute::slog::file::SlogFile::from_bytes(torn).is_err(),
             "a SLOG truncated to {cut}/{} bytes decoded without error",
+            bytes.len()
+        );
+        assert!(
+            ute::slog::file::SlogReader::open(torn).is_err(),
+            "a SLOG truncated to {cut}/{} bytes opened without error",
             bytes.len()
         );
     }

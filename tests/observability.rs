@@ -486,3 +486,46 @@ fn metrics_snapshot_tsv_lists_stage_spans() {
     assert!(snap.counter("rawtrace/records_cut").unwrap_or(0) > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// §4's size-independence claim, checked as a count: `ute preview`
+/// decodes no frame and `ute view --frame-at` decodes exactly one,
+/// whether the SLOG has 64 frames or 1024.
+#[test]
+fn slog_views_decode_only_the_frames_they_show() {
+    let _serial = SERIAL.lock().unwrap();
+    let dir = tmpdir("slogframes");
+    let out = dir.to_str().unwrap().to_string();
+    run(&argv(&["trace", "--workload", "stencil", "--out", &out])).unwrap();
+    run(&argv(&["convert", "--in", &out])).unwrap();
+    let decoded = || ute::obs::counter("slog/frames_decoded").get();
+    let skipped = || ute::obs::counter("slog/frames_skipped").get();
+    for frames in [64u64, 1024] {
+        let slog = dir.join(format!("s{frames}.slog"));
+        let slog = slog.to_str().unwrap();
+        let nframes = frames.to_string();
+        run(&argv(&[
+            "slogmerge",
+            "--in",
+            &out,
+            "--out",
+            slog,
+            "--frames",
+            &nframes,
+        ]))
+        .unwrap();
+
+        let (d0, s0) = (decoded(), skipped());
+        run(&argv(&["preview", "--slog", slog])).unwrap();
+        assert_eq!((decoded() - d0, skipped() - s0), (0, 0), "preview");
+
+        let (d0, s0) = (decoded(), skipped());
+        run(&argv(&["view", "--slog", slog, "--frame-at", "0.004"])).unwrap();
+        assert_eq!(decoded() - d0, 1, "frame-at at {frames} frames");
+        assert_eq!(skipped() - s0, frames - 1, "frame-at at {frames} frames");
+
+        let (d0, s0) = (decoded(), skipped());
+        run(&argv(&["view", "--slog", slog])).unwrap();
+        assert_eq!((decoded() - d0, skipped() - s0), (frames, 0), "whole run");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -211,6 +211,8 @@ proptest! {
     fn slog_files_round_trip(
         mut ivs in prop::collection::vec(arb_interval(), 1..100),
         nframes in 1usize..20,
+        at in 0.0f64..1.1,
+        len in 0.0f64..0.5,
     ) {
         // Give every interval the same node/thread so the thread table is
         // simple, then round-trip the whole SLOG file.
@@ -237,7 +239,20 @@ proptest! {
         .unwrap();
         let bytes = slog.to_bytes();
         let back = ute::slog::file::SlogFile::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back, slog);
+        prop_assert_eq!(&back, &slog);
+        // A windowed load is exactly the frames overlapping the window.
+        let span = slog.preview.span_end - slog.preview.span_start;
+        let a = slog.preview.span_start + (span as f64 * at) as u64;
+        let b = a + (span as f64 * len) as u64;
+        let part = ute::slog::file::SlogReader::open(&bytes).unwrap().load(Some((a, b))).unwrap();
+        let want: Vec<_> = slog
+            .frames
+            .iter()
+            .filter(|f| f.t_start < b && f.t_end > a)
+            .cloned()
+            .collect();
+        prop_assert_eq!(part.frames, want);
+        prop_assert_eq!(part.preview, slog.preview);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! nested thread-activity mode, windowed rendering through pseudo
 //! records, golden ASCII/SVG snapshots of the sPPM and FLASH renders
 //! (checked-in baselines under `tests/snapshots/`, regenerated with
-//! `UPDATE_SNAPSHOTS=1 cargo test --test views`), and a golden ASCII
-//! snapshot of a tiny deterministic view.
+//! `UPDATE_SNAPSHOTS=1 cargo test --test views`), a golden ASCII
+//! snapshot of a tiny deterministic view, and a differential sweep
+//! showing that frame-indexed reads (decode only the frames a view
+//! shows) answer exactly like a fully decoded file.
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use ute::cluster::Simulator;
 use ute::convert::convert_job;
 use ute::core::bebits::BeBits;
@@ -13,13 +17,13 @@ use ute::format::profile::Profile;
 use ute::format::state::StateCode;
 use ute::merge::{slogmerge, MergeOptions};
 use ute::slog::builder::BuildOptions;
-use ute::slog::file::{SlogFile, SlogFrame};
+use ute::slog::file::{SlogFile, SlogFrame, SlogReader};
 use ute::slog::preview::Preview;
 use ute::slog::record::{SlogRecord, SlogState};
 use ute::view::ascii;
-use ute::view::model::{build_view, ViewConfig, ViewKind};
+use ute::view::model::{build_view, frame_view, ViewConfig, ViewKind};
 use ute::workloads::flash::{workload, FlashParams};
-use ute::workloads::{sppm, Workload};
+use ute::workloads::{scaling, sppm, Workload};
 
 fn workload_slog(w: Workload) -> (Profile, SlogFile) {
     let result = Simulator::new(w.config, &w.job).unwrap().run().unwrap();
@@ -278,4 +282,153 @@ fn golden_ascii_snapshot() {
     assert_eq!(bar[2], bar[15], "Running on both sides");
     assert!(lines[3].starts_with("legend:"));
     assert!(lines[3].contains("Running") && lines[3].contains("MPI_Send"));
+}
+
+const KINDS: [(&str, ViewKind); 5] = [
+    ("thread", ViewKind::ThreadActivity),
+    ("cpu", ViewKind::ProcessorActivity),
+    ("threadcpu", ViewKind::ThreadProcessor),
+    ("cputhread", ViewKind::ProcessorThread),
+    ("type", ViewKind::TypeActivity),
+];
+
+/// Seconds as the CLI prints and parses them, and the ticks the CLI
+/// derives from that text.
+fn secs(ticks: u64) -> (String, u64) {
+    let text = format!("{:.9}", ticks as f64 / 1e9);
+    let back = (text.parse::<f64>().unwrap() * 1e9) as u64;
+    (text, back)
+}
+
+/// The `ute view` answer rendered from a fully decoded file.
+fn render(view: ute::core::error::Result<ute::view::model::View>) -> Result<String, String> {
+    view.map(|v| ascii::render(&v, 100))
+        .map_err(|e| e.to_string())
+}
+
+/// Sweeps seeded windows and `--frame-at` instants over all five view
+/// kinds with and without `--connected` / `--hide-running`. A windowed
+/// load must build the same `View` as the full file, and `ute view` /
+/// `ute preview` must print exactly what rendering the full file prints.
+fn differential_sweep(name: &str, slog: &SlogFile, seed: u64) {
+    let bytes = slog.to_bytes();
+    let full = SlogFile::from_bytes(&bytes).unwrap();
+    assert_eq!(&full, slog);
+    assert!(full.frames.len() > 4, "{name}: want several frames");
+    let path = std::env::temp_dir().join(format!("ute_views_{name}_{}.slog", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let path_s = path.to_str().unwrap().to_string();
+    let cli = |extra: &[&str]| -> Result<String, String> {
+        let mut argv = vec!["view".to_string(), "--slog".into(), path_s.clone()];
+        argv.extend(extra.iter().map(|s| s.to_string()));
+        ute::cli::run(&argv).map_err(|e| e.to_string())
+    };
+
+    // The preview needs no frame at all.
+    let reader = SlogReader::open(&bytes).unwrap();
+    assert_eq!(reader.preview, full.preview);
+    let mut want = ute::view::preview::render_ascii(&full.preview, 8);
+    want.push_str("interesting ranges:");
+    for (a, b) in ute::view::preview::interesting_ranges(&full.preview, 0.25) {
+        want.push_str(&format!(" [{a:.3}s..{b:.3}s]"));
+    }
+    want.push('\n');
+    let got = ute::cli::run(&["preview".to_string(), "--slog".into(), path_s.clone()]);
+    assert_eq!(got.unwrap(), want, "{name}: preview");
+
+    let (t0, t1) = (full.preview.span_start, full.preview.span_end);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for i in 0..60 {
+        let (kind_name, kind) = KINDS[i % KINDS.len()];
+        let connected = rng.gen_bool(0.5);
+        let hide_running = rng.gen_bool(0.5);
+        let mut flags = vec!["--kind", kind_name];
+        if connected {
+            flags.push("--connected");
+        }
+        if hide_running {
+            flags.push("--hide-running");
+        }
+        let cfg = ViewConfig {
+            kind,
+            connected,
+            hide_running,
+            ..ViewConfig::default()
+        };
+
+        // A window: every third one snapped to frame boundaries, the
+        // rest anywhere in (and a little past) the run.
+        let (a, b) = if i % 3 == 0 {
+            let f = rng.gen_range(0..full.frames.len());
+            let g = (f + rng.gen_range(0..3usize)).min(full.frames.len() - 1);
+            (full.frames[f].t_start, full.frames[g].t_end)
+        } else {
+            let a = rng.gen_range(t0..t1);
+            (a, a + rng.gen_range(1..(t1 - t0) / 4))
+        };
+        let ((a_text, a), (b_text, b)) = (secs(a), secs(b));
+        let window = format!("{a_text},{b_text}");
+        let wcfg = ViewConfig {
+            window: Some((a, b)),
+            ..cfg
+        };
+        let part = SlogReader::open(&bytes)
+            .unwrap()
+            .load(Some((a, b)))
+            .unwrap();
+        let want = build_view(&full, &wcfg).map_err(|e| e.to_string());
+        assert_eq!(
+            build_view(&part, &wcfg).map_err(|e| e.to_string()),
+            want,
+            "{name}: {kind_name} window {window}"
+        );
+        let mut argv = flags.clone();
+        argv.extend(["--window", &window]);
+        assert_eq!(
+            cli(&argv),
+            render(build_view(&full, &wcfg)),
+            "{name}: ute view {argv:?}"
+        );
+
+        // An instant: anywhere in the run, or just past its end.
+        let (t_text, t) = secs(rng.gen_range(t0..t1 + (t1 - t0) / 50));
+        let one = SlogReader::open(&bytes)
+            .unwrap()
+            .load(Some((t, t + 1)))
+            .unwrap();
+        assert!(one.frames.len() <= 1, "{name}: frame-at {t} loaded more");
+        assert_eq!(
+            frame_view(&one, t, &cfg).map_err(|e| e.to_string()),
+            frame_view(&full, t, &cfg).map_err(|e| e.to_string()),
+            "{name}: {kind_name} frame-at {t}"
+        );
+        let mut argv = flags.clone();
+        argv.extend(["--frame-at", &t_text]);
+        assert_eq!(
+            cli(&argv),
+            render(frame_view(&full, t, &cfg)),
+            "{name}: ute view {argv:?}"
+        );
+    }
+    // No window: the whole file, as before.
+    assert_eq!(cli(&[]), render(build_view(&full, &ViewConfig::default())));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn windowed_reads_match_full_reads_sppm() {
+    let (_, slog) = workload_slog(sppm::workload(sppm::SppmParams::default()));
+    differential_sweep("sppm", &slog, 11);
+}
+
+#[test]
+fn windowed_reads_match_full_reads_flash() {
+    let (_, slog) = flash_slog();
+    differential_sweep("flash", &slog, 12);
+}
+
+#[test]
+fn windowed_reads_match_full_reads_scaling() {
+    let (_, slog) = workload_slog(scaling::scaled_job(40));
+    differential_sweep("scaling", &slog, 13);
 }
